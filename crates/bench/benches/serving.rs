@@ -12,9 +12,11 @@
 //!   repro history stays comparable);
 //! * `interpreted-rules` — the reference `RuleSet::predict_row` loop
 //!   (per row: walk rules, short-circuit conditions);
-//! * `network-batch` — [`nr_serve::NetworkScorer`]: encode the view,
-//!   classify on the matrix kernels (what serving the *network* to the
-//!   same database costs);
+//! * `network-batch` — [`nr_serve::NetworkScorer`]: the pruned network
+//!   scored from the raw columns of its live input bits (what serving
+//!   the *network* to the same database costs);
+//! * `network-reference` — the same answers the long way: `encode_view`
+//!   into the dense bit matrix, then `Mlp::classify_batch`;
 //! * `hybrid` — compiled rules with network fallback for unmatched rows.
 //!
 //! The `dag-vs-table-vs-interpreted` group is the engine-generation
@@ -23,14 +25,17 @@
 //! interpreted loop, same workload.
 //!
 //! The shared-model group scores the same 100k rows split into disjoint
-//! chunks across N threads through one `Arc<ServeModel>` — the lock-free
+//! chunks across N jobs through one `Arc<ServeModel>` — the lock-free
 //! scaling story (results stay bit-identical; the workspace concurrency
-//! test pins that).
+//! test pins that). The jobs run on the persistent `nr-nn` worker pool,
+//! so the group times scoring rather than thread spawns; a job never
+//! fans out again, so each chunk is scored on one thread.
 //!
 //! In full (non-quick) mode the run **asserts** the acceptance bars:
 //! compiled batch scoring must beat the interpreted per-row path by ≥ 2×,
-//! and the DAG program must beat the predicate-table engine by ≥ 1.5×,
-//! both at 100k rows on one core.
+//! the DAG program must beat the predicate-table engine by ≥ 1.5×, both
+//! at 100k rows on one core, and `network-batch` must beat
+//! `network-reference` by ≥ 2×.
 
 use std::sync::Arc;
 
@@ -82,6 +87,9 @@ fn serving(c: &mut Criterion) {
     group.bench_function("network-batch", |b| {
         b.iter(|| model.network().predict_batch(&view).len());
     });
+    group.bench_function("network-reference", |b| {
+        b.iter(|| network_reference(&model, &view).len());
+    });
     let hybrid = model.clone().with_mode(ServeMode::Hybrid);
     group.bench_function("hybrid", |b| {
         b.iter(|| hybrid.predict_batch(&view).len());
@@ -114,7 +122,28 @@ fn serving(c: &mut Criterion) {
     if !criterion::quick_mode() {
         assert_compiled_beats_interpreted(&model, &ruleset, &test);
         assert_dag_beats_the_table(&model, &test);
+        assert_network_beats_the_reference(&model, &test);
     }
+}
+
+/// The network answers the pre-plan way: encode the view into the dense
+/// bit matrix, then classify on the `nr-nn` batch kernels.
+fn network_reference(model: &ServeModel, view: &nr_tabular::DatasetView<'_>) -> Vec<usize> {
+    let scorer = model.network();
+    let encoded = scorer.encoder().encode_view(view);
+    scorer.network().classify_batch(&encoded)
+}
+
+/// Best of five timed runs of `f`.
+fn best_of_five(f: &mut dyn FnMut() -> usize) -> std::time::Duration {
+    (0..5)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            criterion::black_box(f());
+            t0.elapsed()
+        })
+        .min()
+        .expect("non-empty reps")
 }
 
 /// The acceptance bar, self-enforced like the `ingest` bench's allocation
@@ -127,18 +156,8 @@ fn assert_compiled_beats_interpreted(
     test: &Dataset,
 ) {
     let view = test.view();
-    let best = |f: &mut dyn FnMut() -> usize| -> std::time::Duration {
-        (0..5)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                criterion::black_box(f());
-                t0.elapsed()
-            })
-            .min()
-            .expect("non-empty reps")
-    };
-    let compiled = best(&mut || model.rules().predict_batch(&view).len());
-    let interpreted = best(&mut || {
+    let compiled = best_of_five(&mut || model.rules().predict_batch(&view).len());
+    let interpreted = best_of_five(&mut || {
         (0..test.len())
             .map(|i| ruleset.predict_row(test, i))
             .sum::<usize>()
@@ -158,18 +177,8 @@ fn assert_compiled_beats_interpreted(
 /// must be at least 1.5× the retained predicate-table engine.
 fn assert_dag_beats_the_table(model: &ServeModel, test: &Dataset) {
     let view = test.view();
-    let best = |f: &mut dyn FnMut() -> usize| -> std::time::Duration {
-        (0..5)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                criterion::black_box(f());
-                t0.elapsed()
-            })
-            .min()
-            .expect("non-empty reps")
-    };
-    let dag = best(&mut || model.rules().predict_batch_with(&view, 1, 8192).len());
-    let table = best(&mut || model.rules().predict_batch_table(&view).len());
+    let dag = best_of_five(&mut || model.rules().predict_batch_with(&view, 1, 8192).len());
+    let table = best_of_five(&mut || model.rules().predict_batch_table(&view).len());
     let speedup = table.as_secs_f64() / dag.as_secs_f64();
     eprintln!("dag {dag:.2?} vs predicate-table {table:.2?} -> {speedup:.2}x (bar: 1.5x)");
     assert!(
@@ -178,8 +187,26 @@ fn assert_dag_beats_the_table(model: &ServeModel, test: &Dataset) {
     );
 }
 
+/// The live-input plan's bar: at 100k rows, scoring the network from its
+/// live input bits must be at least 2× encoding the view and running the
+/// batch kernels — the same answers bit for bit (the serving equivalence
+/// suite pins that).
+fn assert_network_beats_the_reference(model: &ServeModel, test: &Dataset) {
+    let view = test.view();
+    let planned = best_of_five(&mut || model.network().predict_batch(&view).len());
+    let reference = best_of_five(&mut || network_reference(model, &view).len());
+    let speedup = reference.as_secs_f64() / planned.as_secs_f64();
+    eprintln!(
+        "network-batch {planned:.2?} vs network-reference {reference:.2?} -> {speedup:.2}x (bar: 2x)"
+    );
+    assert!(
+        speedup >= 2.0,
+        "live-input network scoring must beat encode -> classify by >= 2x, got {speedup:.2}x"
+    );
+}
+
 /// Multi-thread scaling: disjoint chunks of the same workload scored
-/// through one shared `Arc<ServeModel>`.
+/// through one shared `Arc<ServeModel>`, one pool job per chunk.
 fn shared_model(c: &mut Criterion) {
     let rows = workload_rows();
     let (model, _) = fixture();
@@ -190,24 +217,15 @@ fn shared_model(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(rows as u64));
     for threads in [1usize, 2, 4] {
-        // Disjoint contiguous chunks, one per thread.
+        // Disjoint contiguous chunks, one per job.
         let chunks = test.view().chunks(threads);
         group.bench_function(format!("{threads}-threads"), |b| {
             b.iter(|| {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .iter()
-                        .map(|view| {
-                            let model = Arc::clone(&model);
-                            let view = view.clone();
-                            scope.spawn(move || model.predict_batch(&view).len())
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap())
-                        .sum::<usize>()
+                nr_nn::map_indexed_scoped(threads, threads, |t| {
+                    model.predict_batch(&chunks[t]).len()
                 })
+                .into_iter()
+                .sum::<usize>()
             });
         });
     }

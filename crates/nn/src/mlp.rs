@@ -65,6 +65,45 @@ impl Mlp {
         }
     }
 
+    /// Checks the invariants a deserialized network cannot be trusted to
+    /// hold: a non-empty topology, weight matrices and masks sized
+    /// `n_hidden × n_in` / `n_out × n_hidden`, and every masked link
+    /// storing weight `0.0`. Networks built through this type's own API
+    /// always pass; a hand-edited or corrupted bundle may not.
+    pub fn validate(&self) -> Result<(), String> {
+        let (n_in, h, o) = (self.n_in, self.n_hidden, self.n_out);
+        if n_in == 0 || h == 0 || o == 0 {
+            return Err(format!("degenerate topology {n_in}-{h}-{o}"));
+        }
+        for (name, m, rows, cols, mask) in [
+            ("input-hidden", &self.w, h, n_in, &self.w_mask),
+            ("hidden-output", &self.v, o, h, &self.v_mask),
+        ] {
+            if m.rows() != rows || m.cols() != cols || m.as_slice().len() != rows * cols {
+                return Err(format!(
+                    "{name} weights are {}x{} with {} entries, the topology needs {rows}x{cols}",
+                    m.rows(),
+                    m.cols(),
+                    m.as_slice().len()
+                ));
+            }
+            if mask.len() != rows * cols {
+                return Err(format!(
+                    "{name} mask has {} entries, the topology needs {}",
+                    mask.len(),
+                    rows * cols
+                ));
+            }
+            if let Some(k) = (0..mask.len()).find(|&k| !mask[k] && m.as_slice()[k] != 0.0) {
+                return Err(format!(
+                    "{name} link {k} is pruned but stores weight {}",
+                    m.as_slice()[k]
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Number of input nodes (including the encoder's bias input).
     pub fn n_inputs(&self) -> usize {
         self.n_in
@@ -955,6 +994,28 @@ mod tests {
             }
         }
         assert_eq!(net.accuracy_many(&data, &[], 0), Vec::<f64>::new());
+    }
+
+    #[test]
+    fn validate_catches_inconsistent_networks() {
+        let mut net = tiny();
+        net.prune(LinkId::InputHidden {
+            hidden: 0,
+            input: 0,
+        });
+        assert_eq!(net.validate(), Ok(()));
+        let mut bad = net.clone();
+        bad.w[(0, 0)] = 0.5;
+        assert!(bad.validate().unwrap_err().contains("pruned but stores"));
+        let mut bad = net.clone();
+        bad.n_in = 3;
+        assert!(bad.validate().unwrap_err().contains("input-hidden weights"));
+        let mut bad = net.clone();
+        bad.v_mask.pop();
+        assert!(bad.validate().unwrap_err().contains("hidden-output mask"));
+        let mut bad = net;
+        bad.n_out = 0;
+        assert!(bad.validate().unwrap_err().contains("degenerate"));
     }
 
     #[test]

@@ -108,6 +108,27 @@ thread_local! {
 
 static LOCATION_HOOK: std::sync::Once = std::sync::Once::new();
 
+thread_local! {
+    /// Set while this thread runs a job of [`map_indexed_scoped`] (on a
+    /// pool worker or inline). A nested call from inside a job runs its
+    /// own jobs inline: a job never fans out again, so a pool worker can
+    /// never block waiting on jobs queued behind it.
+    static IN_JOB: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` as a pool job: nested [`map_indexed_scoped`] calls inside it
+/// stay inline. The flag is restored on the unwind path too.
+fn as_job<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_JOB.with(|flag| flag.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_JOB.with(|flag| flag.replace(true)));
+    f()
+}
+
 /// Installs (once, process-wide) a panic hook that records the panic
 /// location in a thread-local before delegating to the previous hook.
 /// Captured pool-job panics read it back; panics elsewhere are unaffected.
@@ -180,17 +201,18 @@ fn pool() -> &'static Pool {
 /// per-chunk results **in chunk order** regardless of which pool thread
 /// computed which chunk.
 ///
-/// `threads` is the resolved worker count (see [`resolve_threads`]); with
-/// one worker (or one chunk) everything runs inline on the caller's
-/// thread — the single-threaded path never touches the pool. `work` must
-/// be `'static`: capture dataset buffers via
-/// [`nr_encode::EncodedDataset::shared`] and weights by value.
-pub(crate) fn map_chunks<T, F>(rows: usize, threads: usize, work: F) -> Vec<T>
+/// `threads` is a requested worker count (`0` = auto, see
+/// [`resolve_threads`]); with one worker (or one chunk) everything runs
+/// inline on the caller's thread — the single-threaded path never touches
+/// the pool. `work` may borrow the caller's frame (it rides
+/// [`map_indexed_scoped`]), so serving code can score a
+/// `nr_tabular::DatasetView` chunk by chunk without copying it.
+pub fn map_chunks<'env, T, F>(rows: usize, threads: usize, work: F) -> Vec<T>
 where
-    T: Send + 'static,
-    F: Fn(usize, Range<usize>) -> T + Send + Sync + 'static,
+    T: Send + 'env,
+    F: Fn(usize, Range<usize>) -> T + Send + Sync + 'env,
 {
-    map_indexed(n_chunks(rows), threads, move |c| {
+    map_indexed_scoped(n_chunks(rows), threads, move |c| {
         work(c, chunk_range(c, rows))
     })
 }
@@ -277,8 +299,8 @@ where
     // Catch the job's own unwind so the panic payload (and the location
     // the hook recorded) travel back to the caller instead of dying on
     // the pool thread.
-    let result =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(j))).map_err(|payload| {
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| as_job(|| work(j))))
+        .map_err(|payload| {
             let msg = panic_message(payload.as_ref());
             match LAST_PANIC_LOCATION.with(|slot| slot.borrow_mut().take()) {
                 Some(loc) => format!("{msg}, at {loc}"),
@@ -326,7 +348,10 @@ fn erase_job_lifetime<'env>(
 ///
 /// `threads` is a requested worker count (`0` = auto: available
 /// parallelism capped at the pool size). With one resolved worker (or one
-/// job) everything runs inline on the caller's thread. A panicking job
+/// job) everything runs inline on the caller's thread, and so does a call
+/// made from inside another call's job: nested calls never fan out, so
+/// they cannot deadlock the pool and a one-job call is truly
+/// single-threaded. A panicking job
 /// re-raises deterministically (lowest index first) at the collection
 /// point, after every other submitted job has finished.
 pub fn map_indexed_scoped<'env, T, F>(jobs: usize, threads: usize, work: F) -> Vec<T>
@@ -337,8 +362,8 @@ where
     if jobs == 0 {
         return Vec::new();
     }
-    if resolve_threads(threads, jobs) <= 1 || jobs == 1 {
-        return (0..jobs).map(work).collect();
+    if resolve_threads(threads, jobs) <= 1 || jobs == 1 || IN_JOB.with(|flag| flag.get()) {
+        return as_job(|| (0..jobs).map(work).collect());
     }
 
     install_location_hook();
@@ -536,6 +561,30 @@ mod tests {
         assert!(msg.contains("worker-pool job 2"), "{msg}");
         // The pool and the scoped path both survive.
         assert_eq!(map_indexed_scoped(3, 4, |j| j), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn nested_calls_run_inline_inside_a_job() {
+        // Every outer job fans out again; with more outer jobs than pool
+        // workers this would block every worker on jobs queued behind it
+        // unless the nested calls stay on the job's own thread.
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8);
+        let outer = map_indexed_scoped(workers * 3, 0, |j| {
+            let caller = std::thread::current().id();
+            let inner = map_indexed_scoped(6, 0, |k| (k, std::thread::current().id()));
+            assert!(
+                inner.iter().all(|&(_, id)| id == caller),
+                "nested job left its thread"
+            );
+            j + inner.iter().map(|&(k, _)| k).sum::<usize>()
+        });
+        assert_eq!(outer, (0..workers * 3).map(|j| j + 15).collect::<Vec<_>>());
+        // The flag is scoped to the job: a later top-level call fans out.
+        assert_eq!(map_indexed_scoped(4, 4, |j| j), vec![0, 1, 2, 3]);
+        assert!(!IN_JOB.with(|flag| flag.get()));
     }
 
     #[test]

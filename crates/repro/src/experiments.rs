@@ -167,7 +167,11 @@ fn serving_section(source: &str, report: &BenchReport) -> String {
             "interpreted rules (`RuleSet::predict_row`)",
             "/interpreted-rules",
         ),
-        ("network batch (encode + classify)", "/network-batch"),
+        ("network batch (live input bits)", "/network-batch"),
+        (
+            "network reference (encode + classify)",
+            "/network-reference",
+        ),
         ("hybrid (rules, network fallback)", "/hybrid"),
     ];
     for (label, suffix) in engines {

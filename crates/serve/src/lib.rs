@@ -12,8 +12,10 @@
 //!   bit-identical to the interpreted `RuleSet::predict_row` path at any
 //!   thread count;
 //! * [`NetworkScorer`] packages encoder + pruned MLP behind the same
-//!   batch [`Predictor`](nr_rules::Predictor) trait, riding the matrix
-//!   kernels in `nr-nn`;
+//!   batch [`Predictor`](nr_rules::Predictor) trait, scoring only the
+//!   live hidden units straight from the raw columns of their live input
+//!   bits, bit-identical to encoding the view and running the `nr-nn`
+//!   batch kernels;
 //! * [`ServeModel`] bundles both behind a [`ServeMode`] dispatch (rules /
 //!   network / hybrid rules-with-network-fallback) with JSON save/load,
 //!   so a serving process starts from a file — no retraining, no

@@ -6,6 +6,7 @@ use nr_rules::{Predictor, RuleSet, Scored};
 use nr_tabular::{ClassId, DatasetView};
 use serde::{Deserialize, Serialize};
 
+use crate::scorer::NetworkParts;
 use crate::{CompiledRules, NetworkScorer};
 
 /// Which engine a [`ServeModel`] answers with.
@@ -33,6 +34,13 @@ pub enum ServeError {
     /// JSON cannot represent losslessly — serialization is refused instead
     /// of emitting an unloadable file.
     NonFinite(String),
+    /// The bundle's parts disagree: the encoder's bit layout does not
+    /// match the network's input width, the network's weight or mask
+    /// shapes do not match its topology, or a pruned link stores a
+    /// non-zero weight. Such a bundle would panic (or answer wrongly) on
+    /// its first network score, so it is refused when it is built or
+    /// loaded.
+    Inconsistent(String),
     /// The bundle file failed integrity verification (checksum footer
     /// mismatch, truncation, or a registry journal that disagrees with
     /// the files on disk).
@@ -50,6 +58,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Io(e) => write!(f, "model file: {e}"),
             ServeError::Json(e) => write!(f, "model json: {e}"),
             ServeError::NonFinite(what) => write!(f, "model not serializable: {what}"),
+            ServeError::Inconsistent(what) => write!(f, "inconsistent model bundle: {what}"),
             ServeError::Corrupt { path, section } => {
                 write!(f, "corrupt model bundle {}: {section}", path.display())
             }
@@ -75,11 +84,39 @@ impl From<std::io::Error> for ServeError {
 /// from as many threads as the hardware offers. Results are bit-identical
 /// to single-threaded scoring because each call's state lives entirely on
 /// the caller's stack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeModel {
     rules: CompiledRules,
     network: NetworkScorer,
     mode: ServeMode,
+}
+
+/// The serialized fields of a [`ServeModel`], before the network half is
+/// validated: loading goes through here so an inconsistent bundle is a
+/// typed [`ServeError::Inconsistent`], not a parse error.
+#[derive(Deserialize)]
+struct ServeModelParts {
+    rules: CompiledRules,
+    network: NetworkParts,
+    mode: ServeMode,
+}
+
+impl ServeModelParts {
+    fn build(self) -> Result<ServeModel, ServeError> {
+        Ok(ServeModel {
+            rules: self.rules,
+            network: self.network.build()?,
+            mode: self.mode,
+        })
+    }
+}
+
+impl<'de> Deserialize<'de> for ServeModel {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        ServeModelParts::deserialize(d)?
+            .build()
+            .map_err(serde::de::Error::custom)
+    }
 }
 
 // The serving contract: shareable across threads by construction. A
@@ -164,9 +201,13 @@ impl ServeModel {
         serde_json::to_string(self).map_err(|e| ServeError::Json(e.to_string()))
     }
 
-    /// Deserializes a bundle produced by [`ServeModel::to_json`].
+    /// Deserializes a bundle produced by [`ServeModel::to_json`]. A bundle
+    /// that parses but whose parts disagree is refused with
+    /// [`ServeError::Inconsistent`].
     pub fn from_json(json: &str) -> Result<Self, ServeError> {
-        serde_json::from_str(json).map_err(|e| ServeError::Json(e.to_string()))
+        serde_json::from_str::<ServeModelParts>(json)
+            .map_err(|e| ServeError::Json(e.to_string()))?
+            .build()
     }
 
     /// Writes the bundle to a file: JSON with a CRC32 footer line, staged
