@@ -339,10 +339,10 @@ fn erase_job_lifetime<'env>(
     unsafe { std::mem::transmute(job) }
 }
 
-/// [`map_indexed`] for *borrowing* closures: maps `work` over the job
+/// `map_indexed` for *borrowing* closures: maps `work` over the job
 /// indices `0..jobs` on the shared worker pool and returns the results in
 /// index order, without requiring `'static` captures — `work` may borrow
-/// the caller's locals (a [`nr_tabular::DatasetView`], a model reference)
+/// the caller's locals (a `nr_tabular::DatasetView`, a model reference)
 /// directly, like `std::thread::scope`, but on the process-wide pool
 /// instead of freshly spawned threads.
 ///

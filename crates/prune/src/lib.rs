@@ -20,12 +20,12 @@
 //!
 //! Two execution modes implement those semantics ([`PruneMode`]):
 //!
-//! * [`PruneMode::Strict`] — the reference engine ([`strict`]): a full
+//! * [`PruneMode::Strict`] — the reference engine (module `strict`): a full
 //!   retrain after every removal, a full saliency rescan per round, and a
 //!   whole-network rollback checkpoint. Its trace is bit-compatible with
 //!   the original implementation and is what the incremental engine is
 //!   pinned against.
-//! * [`PruneMode::Fast`] — the incremental engine ([`fast`]): removals are
+//! * [`PruneMode::Fast`] — the incremental engine (module `fast`): removals are
 //!   first gated on a batched accuracy check and the optimizer only runs
 //!   when the floor is actually violated (then warm-started with carried
 //!   curvature and a small per-round budget, escalating to a full run

@@ -109,7 +109,7 @@ impl SaliencyCache {
 
     /// Condition-(4) candidates: active input links with saliency ≤
     /// `threshold`, in canonical (hidden-major) order — the same set and
-    /// order a fresh [`input_link_saliencies`] filter produces.
+    /// order a fresh [`crate::input_link_saliencies`] filter produces.
     pub fn candidates_at_most(&self, threshold: f64) -> Vec<LinkId> {
         let mut out = Vec::new();
         for m in 0..self.n_hidden {

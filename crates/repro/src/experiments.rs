@@ -123,17 +123,6 @@ fn batch_rows(name: &str) -> Option<usize> {
         .ok()
 }
 
-/// Batch size encoded in an engine-generation row name
-/// (`dag-vs-table-vs-interpreted-<rows>-rows/<engine>`), `None` for
-/// other rows.
-fn dag_rows(name: &str) -> Option<usize> {
-    name.strip_prefix("dag-vs-table-vs-interpreted-")?
-        .split_once("-rows/")?
-        .0
-        .parse()
-        .ok()
-}
-
 /// The paper's §1 comparison as measured numbers: how fast each serving
 /// surface applies the model to the benchmark batch.
 fn serving_section(source: &str, report: &BenchReport) -> String {
@@ -163,6 +152,7 @@ fn serving_section(source: &str, report: &BenchReport) -> String {
     out.push_str("| engine | median / batch | rows/sec |\n|---|---|---|\n");
     let engines = [
         ("compiled rules (`nr-serve`)", "/compiled-rules"),
+        ("compiled rules (1 thread)", "/compiled-rules-1-thread"),
         (
             "interpreted rules (`RuleSet::predict_row`)",
             "/interpreted-rules",
@@ -201,54 +191,12 @@ fn serving_section(source: &str, report: &BenchReport) -> String {
             out.push('\n');
         }
     }
-    out.push_str(&dag_subsection(report));
-    out
-}
-
-/// The engine-generation scoreboard (`dag-vs-table-vs-interpreted`
-/// group): the decision-DAG program against the retained pre-DAG
-/// predicate-table engine and the interpreted loop. Empty when the
-/// report predates the group.
-fn dag_subsection(report: &BenchReport) -> String {
-    let find = |suffix: &str| -> Option<&BenchRow> {
-        report
-            .results
-            .iter()
-            .find(|r| r.name.ends_with(suffix) && dag_rows(&r.name).is_some())
-    };
-    let Some(dag) = find("/dag") else {
-        return String::new();
-    };
-    let mut out = format!(
-        "\n### Engine generations (same workload, {})\n\n",
-        dag_rows(&dag.name)
-            .map(|n| format!("batches of {n} rows"))
-            .unwrap_or_else(|| "unknown batch size".into()),
-    );
-    out.push_str("| engine | median / batch | rows/sec |\n|---|---|---|\n");
-    let engines = [
-        ("decision DAG (auto threads)", "/dag"),
-        ("decision DAG (1 thread)", "/dag-1-thread"),
-        ("predicate table (pre-DAG engine)", "/predicate-table"),
-        ("interpreted (`RuleSet::predict_row`)", "/interpreted"),
-    ];
-    for (label, suffix) in engines {
-        if let Some(row) = find(suffix) {
-            out.push_str(&format!(
-                "| {label} | {:.2} ms | {} |\n",
-                row.median_ns / 1e6,
-                row.rows_per_sec
-                    .map(|r| format!("{:.1}M", r / 1e6))
-                    .unwrap_or_else(|| "-".into()),
-            ));
-        }
-    }
-    if let (Some(one), Some(table)) = (find("/dag-1-thread"), find("/predicate-table")) {
+    if let (Some(one), Some(interp)) =
+        (find("/compiled-rules-1-thread"), find("/interpreted-rules"))
+    {
         out.push_str(&format!(
-            "\nThe DAG program is **{:.2}×** the predicate-table engine on one\n\
-             thread (the full-mode bench asserts ≥ 1.5×) — shared-prefix\n\
-             lowering plus SIMD-tiered fused sweeps, before any parallelism.\n",
-            table.median_ns / one.median_ns
+            "\nOn one thread the compiled engine is **{:.1}×** the interpreted path (bar: ≥ 12×).\n",
+            interp.median_ns / one.median_ns
         ));
     }
     out

@@ -3,7 +3,7 @@
 //! RX needs "perfect rules that have a perfect cover of all the tuples"
 //! (Figure 4, steps 2–3): conjunctions over `column = value` conditions
 //! that together cover every row of the target class and no row of any
-//! other class. The paper delegates this to the X2R rule generator [12];
+//! other class. The paper delegates this to the X2R rule generator \[12\];
 //! X2R was never released, so this module implements an equivalent:
 //!
 //! * an **exact** engine for small tables — enumerate all prime implicants

@@ -25,15 +25,12 @@
 //! the thread count.
 //!
 //! The engine is pinned **bit-identical** to the interpreted
-//! [`RuleSet::predict_row`] path by the workspace equivalence suite. The
-//! pre-DAG predicate-table engine survives as
-//! [`CompiledRules::predict_batch_table`] — the serving bench's baseline
-//! for the `dag-vs-table-vs-interpreted` scoreboard.
+//! [`RuleSet::predict_row`] path by the workspace equivalence suite.
 
 use std::sync::OnceLock;
 
 use nr_rules::{Condition, Predictor, Rule, RuleSet, Scored};
-use nr_tabular::{ClassId, DatasetView};
+use nr_tabular::{AttrKind, ClassId, DatasetView, Schema};
 use serde::{Deserialize, Serialize};
 
 use crate::bitmap::Bitmap;
@@ -183,6 +180,61 @@ impl CompiledRules {
         None
     }
 
+    /// Checks the tables against the schema they score: every predicate
+    /// id indexes the predicate table, every class (each rule's and the
+    /// default) is below the number of class names, and every predicate
+    /// reads an attribute of `schema` of its own kind (`Num`/`NumEq` a
+    /// numeric one, `CatEq`/`CatNotIn` a nominal one). A violation would
+    /// panic on the first score, or answer with a class the bundle
+    /// cannot name. Backs [`crate::ServeModel::from_json`].
+    pub(crate) fn check_schema(&self, schema: &Schema) -> Result<(), String> {
+        let n_classes = self.class_names.len();
+        if self.default_class >= n_classes {
+            return Err(format!(
+                "default class {} with {n_classes} class names",
+                self.default_class
+            ));
+        }
+        for (r, rule) in self.rules.iter().enumerate() {
+            if rule.class >= n_classes {
+                return Err(format!(
+                    "rule {r} class {} with {n_classes} class names",
+                    rule.class
+                ));
+            }
+            if let Some(p) = rule
+                .predicates
+                .iter()
+                .find(|&&p| p as usize >= self.predicates.len())
+            {
+                return Err(format!(
+                    "rule {r} predicate id {p} with {} predicates",
+                    self.predicates.len()
+                ));
+            }
+        }
+        for (id, pred) in self.predicates.iter().enumerate() {
+            let a = pred.attribute();
+            if a >= schema.arity() {
+                return Err(format!(
+                    "rule predicate {id} reads attribute {a} of {}",
+                    schema.arity()
+                ));
+            }
+            let wants_numeric = matches!(pred, Condition::Num { .. } | Condition::NumEq { .. });
+            let is_numeric = matches!(schema.attribute(a).kind, AttrKind::Numeric);
+            if wants_numeric != is_numeric {
+                let kind = |numeric: bool| if numeric { "numeric" } else { "nominal" };
+                return Err(format!(
+                    "rule predicate {id} is a {} test on {} attribute {a}",
+                    kind(wants_numeric),
+                    kind(is_numeric)
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// The batch first-match core: appends the class of every view row to
     /// `out` and returns the bitmap of rows claimed by an **explicit**
     /// rule (unset = default fallthrough). Everything public routes
@@ -218,53 +270,6 @@ impl CompiledRules {
             .match_batch_into(view, &mut out, threads, shard_rows);
         out
     }
-
-    /// Scores via the retained **predicate-table engine** (the pre-DAG
-    /// per-rule bitmap loop): the measured baseline the DAG program is
-    /// asserted against in the serving bench, and an independent witness
-    /// in the equivalence tests. Not the production path.
-    pub fn predict_batch_table(&self, view: &DatasetView<'_>) -> Vec<ClassId> {
-        self.match_batch_table(view).0
-    }
-
-    /// The pre-DAG engine's first-match core: per-rule AND loop over
-    /// lazily evaluated per-predicate bitmaps.
-    fn match_batch_table(&self, view: &DatasetView<'_>) -> (Vec<ClassId>, Bitmap) {
-        let n = view.len();
-        let mut classes = vec![self.default_class; n];
-        let mut undecided = Bitmap::ones(n);
-        let mut cache: Vec<Option<Bitmap>> = vec![None; self.predicates.len()];
-        let mut scratch = Bitmap::zeros(n);
-        for rule in &self.rules {
-            if undecided.none_set() {
-                break;
-            }
-            scratch.copy_from(&undecided);
-            let mut dead = false;
-            for &p in &rule.predicates {
-                let bits = cache[p as usize].get_or_insert_with(|| {
-                    let mut b = Bitmap::zeros(n);
-                    eval_predicate(&self.predicates[p as usize], view, &mut b);
-                    // The sweep wrote raw words; a stray bit past `len`
-                    // would corrupt the `not()` below and the first-match
-                    // arbitration on partial final words.
-                    b.debug_assert_tail_clear();
-                    b
-                });
-                scratch.and_assign(bits);
-                if scratch.none_set() {
-                    dead = true;
-                    break;
-                }
-            }
-            if dead {
-                continue;
-            }
-            scratch.for_each_set(|i| classes[i] = rule.class);
-            undecided.clear(&scratch);
-        }
-        (classes, undecided.not())
-    }
 }
 
 impl Predictor for CompiledRules {
@@ -298,71 +303,10 @@ impl Predictor for CompiledRules {
     }
 }
 
-/// Evaluates one predicate over every view row into a bitmap — a single
-/// pass down one typed column (contiguous for full views, an index gather
-/// for row selections). The predicate-table engine's evaluator; the DAG
-/// program fuses these per column instead (see [`crate::program`]).
-fn eval_predicate(cond: &Condition, view: &DatasetView<'_>, bits: &mut Bitmap) {
-    let ds = view.dataset();
-    let ids = view.row_ids();
-    match cond {
-        // The (lo, hi) split mirrors `Condition::holds` exactly: both
-        // bounds optional, lower inclusive, upper exclusive.
-        Condition::Num { attribute, lo, hi } => {
-            let col = ds.num_column(*attribute);
-            match (*lo, *hi) {
-                (Some(l), Some(h)) => sweep(col, ids, bits, |x| x >= l && x < h),
-                (Some(l), None) => sweep(col, ids, bits, |x| x >= l),
-                (None, Some(h)) => sweep(col, ids, bits, |x| x < h),
-                (None, None) => sweep(col, ids, bits, |_| true),
-            }
-        }
-        Condition::NumEq { attribute, value } => {
-            sweep(ds.num_column(*attribute), ids, bits, |x| x == *value)
-        }
-        Condition::CatEq { attribute, code } => {
-            sweep(ds.nominal_column(*attribute), ids, bits, |c| c == *code)
-        }
-        Condition::CatNotIn { attribute, codes } => {
-            sweep(ds.nominal_column(*attribute), ids, bits, |c| {
-                !codes.contains(&c)
-            })
-        }
-    }
-}
-
-/// Packs `pred` over the selected column values into bitmap words, 64
-/// rows at a time. The full-view arm walks the column slice directly so
-/// the inner loop is a branch-free compare over contiguous memory.
-#[inline]
-fn sweep<T: Copy>(col: &[T], ids: Option<&[usize]>, bits: &mut Bitmap, pred: impl Fn(T) -> bool) {
-    let words = bits.words_mut();
-    match ids {
-        None => {
-            for (w, chunk) in col.chunks(64).enumerate() {
-                let mut word = 0u64;
-                for (i, &x) in chunk.iter().enumerate() {
-                    word |= (pred(x) as u64) << i;
-                }
-                words[w] = word;
-            }
-        }
-        Some(ids) => {
-            for (w, chunk) in ids.chunks(64).enumerate() {
-                let mut word = 0u64;
-                for (i, &r) in chunk.iter().enumerate() {
-                    word |= (pred(col[r]) as u64) << i;
-                }
-                words[w] = word;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nr_tabular::{Attribute, Dataset, Schema, Value};
+    use nr_tabular::{Attribute, Dataset, Value};
 
     fn dataset() -> Dataset {
         let schema = Schema::new(vec![
@@ -461,18 +405,15 @@ mod tests {
     }
 
     #[test]
-    fn dag_equals_the_table_engine() {
+    fn dag_equals_interpreted_at_every_thread_count() {
         let ds = dataset();
-        let compiled = CompiledRules::compile(&ruleset());
-        assert_eq!(
-            compiled.predict_batch(&ds.view()),
-            compiled.predict_batch_table(&ds.view())
-        );
-        // And across shard grids/thread counts.
+        let rs = ruleset();
+        let compiled = CompiledRules::compile(&rs);
+        let per_row: Vec<ClassId> = (0..ds.len()).map(|i| rs.predict_row(&ds, i)).collect();
         for threads in [0usize, 1, 2, 4] {
             assert_eq!(
                 compiled.predict_batch_with(&ds.view(), threads, 64),
-                compiled.predict_batch_table(&ds.view()),
+                per_row,
                 "threads={threads}"
             );
         }

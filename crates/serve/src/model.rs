@@ -36,10 +36,12 @@ pub enum ServeError {
     NonFinite(String),
     /// The bundle's parts disagree: the encoder's bit layout does not
     /// match the network's input width, the network's weight or mask
-    /// shapes do not match its topology, or a pruned link stores a
-    /// non-zero weight. Such a bundle would panic (or answer wrongly) on
-    /// its first network score, so it is refused when it is built or
-    /// loaded.
+    /// shapes do not match its topology, a pruned link stores a non-zero
+    /// weight, or the rule tables do not fit the encoder's schema and the
+    /// class names (a predicate id, class or attribute out of range, or a
+    /// numeric test on a nominal attribute or vice versa). Such a bundle
+    /// would panic (or answer wrongly) on its first score, so it is
+    /// refused when it is built or loaded.
     Inconsistent(String),
     /// The bundle file failed integrity verification (checksum footer
     /// mismatch, truncation, or a registry journal that disagrees with
@@ -91,9 +93,9 @@ pub struct ServeModel {
     mode: ServeMode,
 }
 
-/// The serialized fields of a [`ServeModel`], before the network half is
-/// validated: loading goes through here so an inconsistent bundle is a
-/// typed [`ServeError::Inconsistent`], not a parse error.
+/// The serialized fields of a [`ServeModel`], before they are validated:
+/// loading goes through here so an inconsistent bundle is a typed
+/// [`ServeError::Inconsistent`], not a parse error.
 #[derive(Deserialize)]
 struct ServeModelParts {
     rules: CompiledRules,
@@ -103,9 +105,13 @@ struct ServeModelParts {
 
 impl ServeModelParts {
     fn build(self) -> Result<ServeModel, ServeError> {
+        let network = self.network.build()?;
+        self.rules
+            .check_schema(network.encoder().schema())
+            .map_err(ServeError::Inconsistent)?;
         Ok(ServeModel {
             rules: self.rules,
-            network: self.network.build()?,
+            network,
             mode: self.mode,
         })
     }

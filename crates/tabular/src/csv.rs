@@ -108,7 +108,7 @@ impl ChunkStage {
 
 /// Reads a dataset written by [`write_csv`] with constant staging memory:
 /// each line is parsed straight into typed column buffers which are
-/// bulk-appended every [`CHUNK_ROWS`] rows.
+/// bulk-appended every `CHUNK_ROWS` rows.
 ///
 /// Errors carry the 1-based line number of the offending row (the header is
 /// line 1), so a malformed row in the middle of a million-row file is
@@ -309,16 +309,6 @@ pub fn parse_row(schema: &Schema, line: &str) -> Result<Vec<Value>, String> {
     Ok(values)
 }
 
-/// Reads a dataset written by [`write_csv`], given its schema and class
-/// names. Alias for [`read_csv_streaming`].
-pub fn read_csv<R: BufRead>(
-    schema: Schema,
-    class_names: Vec<String>,
-    input: R,
-) -> crate::Result<Dataset> {
-    read_csv_streaming(schema, class_names, input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,7 +342,8 @@ mod tests {
         let text = String::from_utf8(buf.clone()).unwrap();
         assert!(text.starts_with("x,color,class\n"));
         assert!(text.contains("1.5,red,A"));
-        let back = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &buf[..]).unwrap();
+        let back =
+            read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &buf[..]).unwrap();
         assert_eq!(ds, back);
     }
 
@@ -383,7 +374,7 @@ mod tests {
     fn rejects_bad_header() {
         let ds = toy();
         let input = b"x,class\n1.0,A\n";
-        let err = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &input[..]);
+        let err = read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &input[..]);
         assert_eq!(line_of(err), 1);
     }
 
@@ -391,7 +382,7 @@ mod tests {
     fn rejects_unknown_class_with_line() {
         let ds = toy();
         let input = b"x,color,class\n1.0,red,A\n2.0,green,C\n";
-        let err = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &input[..]);
+        let err = read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &input[..]);
         assert_eq!(line_of(err), 3);
     }
 
@@ -399,7 +390,7 @@ mod tests {
     fn rejects_bad_number_with_line() {
         let ds = toy();
         let input = b"x,color,class\nfoo,red,A\n";
-        let err = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &input[..]);
+        let err = read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &input[..]);
         assert_eq!(line_of(err), 2);
     }
 
@@ -429,7 +420,7 @@ mod tests {
         let ds = toy();
         let short = b"x,color,class\n1.0,red\n";
         assert_eq!(
-            line_of(read_csv(
+            line_of(read_csv_streaming(
                 ds.schema().clone(),
                 ds.class_names().to_vec(),
                 &short[..]
@@ -438,7 +429,7 @@ mod tests {
         );
         let long = b"x,color,class\n1.0,red,A,extra\n";
         assert_eq!(
-            line_of(read_csv(
+            line_of(read_csv_streaming(
                 ds.schema().clone(),
                 ds.class_names().to_vec(),
                 &long[..]
@@ -465,7 +456,8 @@ mod tests {
         // skip.
         let ds = toy();
         let input = b"x,color,class\r\n1.5,red,A\r\n\r\n-2.0,green,B\r\n";
-        let back = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &input[..]).unwrap();
+        let back =
+            read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &input[..]).unwrap();
         assert_eq!(back, ds);
     }
 
@@ -473,7 +465,8 @@ mod tests {
     fn trims_cell_whitespace() {
         let ds = toy();
         let input = b"x,color,class\n 1.5 ,\tred, A\n-2.0, green ,B \n";
-        let back = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &input[..]).unwrap();
+        let back =
+            read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &input[..]).unwrap();
         assert_eq!(back, ds);
     }
 
@@ -486,7 +479,7 @@ mod tests {
         for i in 0..(CHUNK_ROWS + 7) {
             text.push_str(&format!("{i}.0,A\r\n"));
         }
-        let back = read_csv(schema, vec!["A".into()], text.as_bytes()).unwrap();
+        let back = read_csv_streaming(schema, vec!["A".into()], text.as_bytes()).unwrap();
         assert_eq!(back.len(), CHUNK_ROWS + 7);
         assert_eq!(back.num_column(0)[CHUNK_ROWS + 6], (CHUNK_ROWS + 6) as f64);
     }
@@ -507,7 +500,8 @@ mod tests {
     fn skips_empty_lines() {
         let ds = toy();
         let input = b"x,color,class\n1.0,red,A\n\n2.0,green,B\n";
-        let back = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &input[..]).unwrap();
+        let back =
+            read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &input[..]).unwrap();
         assert_eq!(back.len(), 2);
     }
 }

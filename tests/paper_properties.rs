@@ -161,7 +161,7 @@ proptest! {
         }
         let mut buf = Vec::new();
         nr_tabular::write_csv(&ds, &mut buf).unwrap();
-        let back = nr_tabular::read_csv(ds.schema().clone(), ds.class_names().to_vec(), &buf[..]).unwrap();
+        let back = nr_tabular::read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &buf[..]).unwrap();
         prop_assert_eq!(ds, back);
     }
 }

@@ -43,17 +43,11 @@ fn pipeline(seed: u64) -> NeuroRule {
 /// Asserts compiled == interpreted on the full view, a reversed/strided
 /// selection, and an empty selection of `ds` — and that the answer is
 /// invariant across 1/2/4 worker threads and shard grids (the DAG
-/// engine's determinism contract), and equal to the retained
-/// predicate-table engine (an independent witness).
+/// engine's determinism contract).
 fn assert_equivalent(rs: &RuleSet, ds: &Dataset) {
     let compiled = CompiledRules::compile(rs);
     let per_row: Vec<_> = (0..ds.len()).map(|i| rs.predict_row(ds, i)).collect();
     assert_eq!(compiled.predict_batch(&ds.view()), per_row, "full view");
-    assert_eq!(
-        compiled.predict_batch_table(&ds.view()),
-        per_row,
-        "predicate-table engine"
-    );
     // 128-row shards force multi-shard execution on every non-trivial
     // fixture; the stitched answer must be bit-identical at any width.
     for threads in [1usize, 2, 4] {
@@ -530,6 +524,35 @@ fn inconsistent_fixture_edits_are_refused_at_load() {
         ("\"n_in\":87", "\"n_in\":86"),
         // Weight and mask shapes no longer match the topology.
         ("\"n_hidden\":4", "\"n_hidden\":5"),
+        // A predicate id past the predicate table: `ruleset()` and the
+        // first score used to panic indexing it.
+        (
+            "{\"predicates\":[0,1],\"class\":0}",
+            "{\"predicates\":[0,999],\"class\":0}",
+        ),
+        // An attribute past the schema: the first score used to panic
+        // fetching its column.
+        (
+            "{\"Num\":{\"attribute\":0,\"lo\":50000.0",
+            "{\"Num\":{\"attribute\":40,\"lo\":50000.0",
+        ),
+        // A nominal test on the numeric attribute 0, and a numeric test
+        // on the nominal attribute 4: the first score used to panic
+        // fetching a column of the wrong kind.
+        (
+            "{\"CatEq\":{\"attribute\":4,\"code\":1}}",
+            "{\"CatEq\":{\"attribute\":0,\"code\":1}}",
+        ),
+        (
+            "{\"NumEq\":{\"attribute\":1,",
+            "{\"NumEq\":{\"attribute\":4,",
+        ),
+        // Classes the two class names cannot name: used to load silently.
+        ("\"default_class\":1", "\"default_class\":7"),
+        (
+            "{\"predicates\":[0,1],\"class\":0}",
+            "{\"predicates\":[0,1],\"class\":2}",
+        ),
     ] {
         assert!(json.contains(from), "fixture lacks {from}");
         match ServeModel::from_json(&json.replacen(from, to, 1)) {
